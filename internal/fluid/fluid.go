@@ -89,10 +89,34 @@ func stepFor(sp scenario.Spec) float64 {
 	return math.Max(stp, 1e-5)
 }
 
+// algKind is a group's algorithm resolved once in New, so the step loop
+// branches on a small integer instead of comparing strings.
+type algKind uint8
+
+const (
+	kindNone algKind = iota // no fluid form; only empty groups carry it
+	kindBBR
+	kindCubic
+	kindReno
+)
+
+func kindOf(alg string) algKind {
+	switch alg {
+	case "bbr":
+		return kindBBR
+	case "cubic":
+		return kindCubic
+	case "reno":
+		return kindReno
+	}
+	return kindNone
+}
+
 // group is the aggregate state of one spec group: Count identical flows
 // integrated as one fluid class.
 type group struct {
 	alg   string
+	kind  algKind
 	count float64
 	rtt   float64 // base RTT τ, seconds
 	start float64 // activation time, seconds
@@ -100,9 +124,11 @@ type group struct {
 	// Loss-based window state (cubic, reno). w is the per-flow window in
 	// bytes; wmax the pre-backoff plateau CUBIC curves toward; epoch the
 	// time of the last backoff (the CUBIC time origin); lastBackoff gates
-	// the one-backoff-per-RTT rule.
+	// the one-backoff-per-RTT rule. k is CUBIC's K for the current wmax,
+	// cached wherever wmax changes (see cubicK).
 	w           float64
 	wmax        float64
+	k           float64
 	epoch       float64
 	lastBackoff float64
 
@@ -128,19 +154,30 @@ type group struct {
 	qAcc, qMin, qMax           float64
 }
 
-func (g *group) lossBased() bool { return g.alg != "bbr" }
-
 func (g *group) beta() float64 {
-	if g.alg == "reno" {
+	if g.kind == kindReno {
 		return renoBeta
 	}
 	return cubicBeta
 }
 
+// cubicK is CUBIC's K = ∛(wmax·(1−β)/C), the time from a backoff until the
+// curve regains the plateau wmax. It depends on wmax alone, so a group
+// computes it where wmax changes (New and backoff), not every step.
+func cubicK(wmax, mss float64) float64 {
+	c := cubicC * mss // bytes/s³
+	return math.Cbrt(wmax * (1 - cubicBeta) / c)
+}
+
 // backoff applies one multiplicative decrease at time t.
 func (g *group) backoff(t float64, mss float64) {
 	g.wmax = g.w
-	g.w = math.Max(g.w*g.beta(), mss)
+	g.k = cubicK(g.wmax, mss)
+	w := g.w * g.beta()
+	if w < mss { // w ≥ mss·β > 0 is finite: no NaN, and no signed zero to tie
+		w = mss
+	}
+	g.w = w
 	g.epoch = t
 	g.lastBackoff = t
 }
@@ -149,13 +186,17 @@ func (g *group) backoff(t float64, mss float64) {
 // cube-root curve through (epoch, β·wmax) with plateau wmax, or Reno's one
 // segment per RTT.
 func (g *group) grow(t, dt, rttNow, mss float64) {
-	switch g.alg {
-	case "cubic":
+	switch g.kind {
+	case kindCubic:
 		c := cubicC * mss // bytes/s³
-		k := math.Cbrt(g.wmax * (1 - cubicBeta) / c)
+		k := g.k
 		te := t - g.epoch
-		g.w = math.Max(c*(te-k)*(te-k)*(te-k)+g.wmax, mss)
-	case "reno":
+		w := c*(te-k)*(te-k)*(te-k) + g.wmax
+		if w < mss { // finite operands, mss > 0: no NaN, and no signed zero to tie
+			w = mss
+		}
+		g.w = w
+	case kindReno:
 		g.w += mss * dt / rttNow
 	}
 }
@@ -170,9 +211,9 @@ type Model struct {
 	step     int64   // whole steps completed; model time is step·stp
 	grantedN int64   // total nanoseconds granted via Run
 
-	capBytes float64 // bottleneck capacity, bytes/s
-	buffer   float64 // bytes
-	mss      float64 // bytes
+	capBytes float64         // bottleneck capacity, bytes/s
+	buffer   float64         // bytes
+	mss      float64         // bytes
 	linkName string          // the modeled bottleneck link
 	faults   scenario.Faults // the bottleneck link's faults
 
@@ -287,6 +328,7 @@ func New(sp scenario.Spec) (*Model, error) {
 	for i, sg := range sp.Groups {
 		g := &group{
 			alg:    sg.Algorithm,
+			kind:   kindOf(sg.Algorithm),
 			count:  float64(sg.Count),
 			rtt:    sg.RTT.Seconds(),
 			start:  sg.Start.Seconds(),
@@ -294,16 +336,17 @@ func New(sp scenario.Spec) (*Model, error) {
 			qMin:   math.Inf(1),
 			winMin: math.Inf(1),
 		}
-		switch sg.Algorithm {
-		case "bbr":
+		switch g.kind {
+		case kindBBR:
 			g.btlbw = share
 			g.rttEst = g.rtt
-		case "cubic", "reno":
+		case kindCubic, kindReno:
 			// Fair-share initial conditions: the window that carries the
 			// share at base RTT, entering mid-epoch so growth resumes from
 			// it (wmax = w/β puts the plateau just above).
 			g.w = math.Max(share*g.rtt, m.mss)
 			g.wmax = g.w / g.beta()
+			g.k = cubicK(g.wmax, m.mss)
 			g.epoch = g.start
 			g.lastBackoff = g.start
 		default:
@@ -359,6 +402,13 @@ func (m *Model) cEffAt(t float64) float64 {
 }
 
 // advance integrates one step [t, t+dt).
+//
+// The per-group minima, maxima and clamps below are plain compares rather
+// than math.Min/Max. That is exact because New validates the spec (τ > 0,
+// C > 0, flap depth < 1, mss > 0), so every operand is finite — no NaN for
+// math.Min/Max to propagate — and every queue is +0 or positive: it starts
+// at +0 and the clamp writes +0, never −0, so no signed-zero tie arises
+// where math.Min would prefer −0 or math.Max +0.
 func (m *Model) advance() {
 	t := float64(m.step) * m.stp
 	dt := m.stp
@@ -369,6 +419,7 @@ func (m *Model) advance() {
 	for _, g := range m.groups {
 		qTotal += g.q
 	}
+	qDelay := qTotal / cEff // the whole queue's delay, shared by every group
 
 	// Shared ProbeRTT phase: after the first 10 s, every BBR group drains
 	// simultaneously at each 10 s boundary (real BBR flows sharing a
@@ -382,8 +433,8 @@ func (m *Model) advance() {
 		m.probeStarts = due
 		rttMax := 0.0
 		for _, g := range m.groups {
-			if g.alg == "bbr" && g.count > 0 && t >= g.start {
-				rttMax = math.Max(rttMax, g.rtt+qTotal/cEff)
+			if g.kind == kindBBR && g.count > 0 && t >= g.start {
+				rttMax = math.Max(rttMax, g.rtt+qDelay)
 			}
 		}
 		if rttMax > 0 {
@@ -398,11 +449,11 @@ func (m *Model) advance() {
 	for i, g := range m.groups {
 		a := 0.0
 		if g.count > 0 && t >= g.start {
-			rttNow := g.rtt + qTotal/cEff
+			rttNow := g.rtt + qDelay
 			switch {
-			case g.alg == "bbr" && m.probing:
+			case g.kind == kindBBR && m.probing:
 				a = g.count * probeRTTCwnd * m.mss / rttNow
-			case g.alg == "bbr":
+			case g.kind == kindBBR:
 				a = g.count * cwndGain * g.btlbw * g.rttEst / rttNow
 			default:
 				g.grow(t, dt, rttNow, m.mss)
@@ -411,18 +462,25 @@ func (m *Model) advance() {
 			// Stats: time-weighted RTT while active.
 			g.rttAcc += rttNow * dt
 			g.activeTime += dt
-			g.rttMin = math.Min(g.rttMin, rttNow)
+			if rttNow < g.rttMin { // rttNow = τ + q/C > 0
+				g.rttMin = rttNow
+			}
 			// BBR's min-RTT window watches continuously; its estimate
 			// absorbs new lows immediately and rises only when a cycle
 			// closes (below).
-			if g.alg == "bbr" {
-				g.winMin = math.Min(g.winMin, rttNow)
-				g.rttEst = math.Min(g.rttEst, rttNow)
+			if g.kind == kindBBR {
+				if rttNow < g.winMin { // rttNow > 0, winMin > 0 or +Inf
+					g.winMin = rttNow
+				}
+				if rttNow < g.rttEst { // rttNow > 0, rttEst ≥ τ > 0
+					g.rttEst = rttNow
+				}
 			}
 		}
-		inflows[i] = a * dt
-		inflowTotal += a * dt
-		g.sent += a * dt
+		in := a * dt
+		inflows[i] = in
+		inflowTotal += in
+		g.sent += in
 	}
 
 	// Fault injection ahead of the queue: stochastic loss thins arrivals
@@ -454,9 +512,15 @@ func (m *Model) advance() {
 	// service by presence share, clamp to the buffer, and attribute the
 	// clamp's excess (drop-tail loss) by arrival share.
 	avail := qTotal + inflowTotal
-	served := math.Min(avail, cEff*dt)
+	served := cEff * dt
+	if avail < served { // avail ≥ +0, cEff·dt > 0: no tie between zeros
+		served = avail
+	}
 	left := avail - served
-	overflow := math.Max(left-m.buffer, 0)
+	overflow := 0.0
+	if v := left - m.buffer; v > 0 { // as math.Max(v, 0): +0 otherwise
+		overflow = v
+	}
 	for i, g := range m.groups {
 		present := g.q + inflows[i]
 		var servedI, overflowI float64
@@ -469,7 +533,13 @@ func (m *Model) advance() {
 		m.servedBy[i] = servedI
 		g.delivered += servedI
 		g.dropped += overflowI
-		g.q = math.Max(present-servedI-overflowI, 0)
+		// A finite difference; the else branch writes +0 for −0 and
+		// negatives, exactly what math.Max(v, 0) returns.
+		if v := present - servedI - overflowI; v > 0 {
+			g.q = v
+		} else {
+			g.q = 0
+		}
 	}
 	m.deliveredTotal += served
 	m.overflowPkts += overflow / m.mss
@@ -483,11 +553,12 @@ func (m *Model) advance() {
 	for _, g := range m.groups {
 		qAfter += g.q
 	}
+	delay := qAfter / cEff // the whole queue's delay after service
 	for i, g := range m.groups {
-		if !g.lossBased() || g.count == 0 || t < g.start {
+		if g.kind == kindBBR || g.count == 0 || t < g.start {
 			continue
 		}
-		rttNow := g.rtt + qAfter/cEff
+		rttNow := g.rtt + delay
 		canBack := t+dt-g.lastBackoff >= rttNow
 		if (overflow > 0 || burst) && inflows[i] > 0 && canBack {
 			g.backoff(t+dt, m.mss)
@@ -503,7 +574,7 @@ func (m *Model) advance() {
 	// self-inflicted, not evidence about the path.
 	probeEnded := m.wasProbing && !m.probing
 	for i, g := range m.groups {
-		if g.alg != "bbr" || g.count == 0 || t < g.start {
+		if g.kind != kindBBR || g.count == 0 || t < g.start {
 			continue
 		}
 		if !m.probing && avail > 0 {
@@ -523,17 +594,24 @@ func (m *Model) advance() {
 
 	// Link and per-group queue statistics for the step.
 	m.qIntAcc += qAfter * dt
-	m.qMaxSeen = math.Max(m.qMaxSeen, qAfter)
-	delay := qAfter / cEff
+	if qAfter > m.qMaxSeen { // both +0 or positive
+		m.qMaxSeen = qAfter
+	}
 	m.delayAcc += delay * dt
-	m.delayMax = math.Max(m.delayMax, delay)
+	if delay > m.delayMax { // q/C with q ≥ +0, C > 0: +0 or positive
+		m.delayMax = delay
+	}
 	for _, g := range m.groups {
 		if g.count == 0 || t < g.start {
 			continue
 		}
 		g.qAcc += g.q * dt
-		g.qMin = math.Min(g.qMin, g.q)
-		g.qMax = math.Max(g.qMax, g.q)
+		if g.q < g.qMin { // q is +0 or positive, qMin likewise or +Inf
+			g.qMin = g.q
+		}
+		if g.q > g.qMax { // q and qMax are +0 or positive
+			g.qMax = g.q
+		}
 	}
 }
 
@@ -551,11 +629,11 @@ func (m *Model) Stats() ([][]netsim.FlowStats, netsim.LinkStats) {
 		}
 		n := g.count
 		st := netsim.FlowStats{
-			Algorithm:  g.alg,
-			Delivered:  units.Bytes(g.delivered / n),
-			SentBytes:  units.Bytes(g.sent / n),
-			Lost:       int(g.dropped / (n * m.mss)),
-			MinRTT:     finiteDuration(g.rttMin),
+			Algorithm:          g.alg,
+			Delivered:          units.Bytes(g.delivered / n),
+			SentBytes:          units.Bytes(g.sent / n),
+			Lost:               int(g.dropped / (n * m.mss)),
+			MinRTT:             finiteDuration(g.rttMin),
 			MeanQueueOccupancy: units.Bytes(0),
 		}
 		if dur > 0 {

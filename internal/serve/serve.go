@@ -224,6 +224,14 @@ func (s *Server) submit(sp scenario.Spec) (raw json.RawMessage, fl *flight, err 
 		s.deduped.Add(1)
 		return nil, fl, nil
 	}
+	// A flight that closed between the cache check above and taking the
+	// lock has already stored its result (finish removes a flight only
+	// after its Put), so look again rather than run the key a second time.
+	if raw, ok := s.cfg.Cache.GetRaw(key); ok {
+		s.mu.Unlock()
+		s.instant.Add(1)
+		return raw, nil, nil
+	}
 	fl = &flight{key: key, spec: sp, done: make(chan struct{}), enqueued: time.Now()}
 	select {
 	case s.queue <- fl:

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Reproducible benchmarks (see DESIGN.md §13 and §14).
 #
-# Two suites, selected with -s:
+# Four suites, selected with -s:
 #
 #   engine (default): BenchmarkEngine — the frozen three-scenario suite in
 #   internal/netsim/engine_bench_test.go, where each op advances a warmed
@@ -21,12 +21,19 @@
 #   fields as the engine suite, plus the chain/single ns-per-event ratio —
 #   the per-hop cost of multi-link forwarding.
 #
-# Both records carry the git SHA, go version and benchmark settings.
+#   fluid: BenchmarkFluidScenario — complete fresh fluid scenarios, New plus
+#   Run over the whole duration (internal/fluid/bench_test.go): the
+#   adoption dynamics' 9-group payoff spec and the 40 Mbps 2v2 figure point.
+#   The record carries per scenario the best-of-count ns per scenario, ns
+#   per integration step, scenarios per second and allocations per scenario.
+#
+# Every record carries the git SHA, go version and benchmark settings.
 #
 # Usage:
 #   ./scripts/bench.sh                  # engine record to stdout
 #   ./scripts/bench.sh -s backends -o BENCH_0007.json -l fluid-fast-path
 #                                       # append the record to a JSON array
+#   ./scripts/bench.sh -s fluid         # fluid step-kernel record
 #   BENCH_TIME=60x BENCH_COUNT=1 ./scripts/bench.sh   # quicker, noisier
 #
 # The -o file holds a JSON array of records; successive runs append, so a
@@ -43,7 +50,7 @@ while getopts "o:l:s:" opt; do
 	o) OUT=$OPTARG ;;
 	l) LABEL=$OPTARG ;;
 	s) SUITE=$OPTARG ;;
-	*) echo "usage: $0 [-s engine|backends|topology] [-o out.json] [-l label]" >&2; exit 2 ;;
+	*) echo "usage: $0 [-s engine|backends|topology|fluid] [-o out.json] [-l label]" >&2; exit 2 ;;
 	esac
 done
 
@@ -51,7 +58,8 @@ case "$SUITE" in
 engine)   BENCH_TIME=${BENCH_TIME:-600x} ;;
 backends) BENCH_TIME=${BENCH_TIME:-2x} ;;
 topology) BENCH_TIME=${BENCH_TIME:-600x} ;;
-*) echo "bench.sh: unknown suite '$SUITE' (want engine, backends or topology)" >&2; exit 2 ;;
+fluid)    BENCH_TIME=${BENCH_TIME:-20x} ;;
+*) echo "bench.sh: unknown suite '$SUITE' (want engine, backends, topology or fluid)" >&2; exit 2 ;;
 esac
 BENCH_COUNT=${BENCH_COUNT:-3}
 SHA=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
@@ -59,6 +67,26 @@ DIRTY=false
 if [ -n "$(git status --porcelain 2>/dev/null)" ]; then DIRTY=true; fi
 GOVER=$(go env GOVERSION)
 DATE=$(date -u +%Y-%m-%dT%H:%M:%SZ)
+
+# emit prints a record to stdout, or appends it to the JSON array in $OUT:
+# drop the closing bracket line, join with a comma, re-terminate.
+emit() {
+	if [ -z "$OUT" ]; then
+		printf '%s\n' "$1"
+		exit 0
+	fi
+	if [ ! -s "$OUT" ]; then
+		printf '[\n%s\n]\n' "$1" >"$OUT"
+	else
+		tmp=$(mktemp)
+		sed '$d' "$OUT" >"$tmp"
+		{ cat "$tmp"; printf ',\n%s\n]\n' "$1"; } >"$OUT.new"
+		mv "$OUT.new" "$OUT"
+		rm -f "$tmp"
+	fi
+	echo "appended $LABEL $SUITE record to $OUT" >&2
+	exit 0
+}
 
 if [ "$SUITE" = backends ]; then
 	RAW=$(go test ./internal/exp -run '^$' -bench BenchmarkBackendScenario \
@@ -111,21 +139,7 @@ if [ "$SUITE" = backends ]; then
 		printf "  }"
 	}')
 
-	if [ -z "$OUT" ]; then
-		printf '%s\n' "$RECORD"
-		exit 0
-	fi
-	if [ ! -s "$OUT" ]; then
-		printf '[\n%s\n]\n' "$RECORD" >"$OUT"
-	else
-		tmp=$(mktemp)
-		sed '$d' "$OUT" >"$tmp"
-		{ cat "$tmp"; printf ',\n%s\n]\n' "$RECORD"; } >"$OUT.new"
-		mv "$OUT.new" "$OUT"
-		rm -f "$tmp"
-	fi
-	echo "appended $LABEL backends record to $OUT" >&2
-	exit 0
+	emit "$RECORD"
 fi
 
 if [ "$SUITE" = topology ]; then
@@ -179,21 +193,58 @@ if [ "$SUITE" = topology ]; then
 		printf "  }"
 	}')
 
-	if [ -z "$OUT" ]; then
-		printf '%s\n' "$RECORD"
-		exit 0
-	fi
-	if [ ! -s "$OUT" ]; then
-		printf '[\n%s\n]\n' "$RECORD" >"$OUT"
-	else
-		tmp=$(mktemp)
-		sed '$d' "$OUT" >"$tmp"
-		{ cat "$tmp"; printf ',\n%s\n]\n' "$RECORD"; } >"$OUT.new"
-		mv "$OUT.new" "$OUT"
-		rm -f "$tmp"
-	fi
-	echo "appended $LABEL topology record to $OUT" >&2
-	exit 0
+	emit "$RECORD"
+fi
+
+if [ "$SUITE" = fluid ]; then
+	RAW=$(go test ./internal/fluid -run '^$' -bench BenchmarkFluidScenario \
+		-benchtime "$BENCH_TIME" -benchmem -count "$BENCH_COUNT")
+
+	RECORD=$(printf '%s\n' "$RAW" | awk \
+		-v label="$LABEL" -v sha="$SHA" -v dirty="$DIRTY" -v gover="$GOVER" \
+		-v date="$DATE" -v benchtime="$BENCH_TIME" -v count="$BENCH_COUNT" '
+	/^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
+	/^BenchmarkFluidScenario\// {
+		name = $1
+		sub(/^BenchmarkFluidScenario\//, "", name)
+		sub(/-[0-9]+$/, "", name)
+		delete v
+		for (i = 3; i < NF; i += 2) v[$(i + 1)] = $i
+		ns = v["ns/scenario"]
+		if (!(name in best) || ns < best[name]) {
+			best[name] = ns; step[name] = v["ns/step"]
+			bop[name] = v["B/op"]; aop[name] = v["allocs/op"]
+			if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
+		}
+	}
+	END {
+		printf "  {\n"
+		printf "    \"label\": \"%s\",\n", label
+		printf "    \"suite\": \"fluid\",\n"
+		printf "    \"git_sha\": \"%s\",\n", sha
+		printf "    \"dirty\": %s,\n", dirty
+		printf "    \"date\": \"%s\",\n", date
+		printf "    \"go\": \"%s\",\n", gover
+		printf "    \"cpu\": \"%s\",\n", cpu
+		printf "    \"benchtime\": \"%s\",\n", benchtime
+		printf "    \"count\": %s,\n", count
+		printf "    \"scenarios\": [\n"
+		for (i = 1; i <= n; i++) {
+			name = order[i]
+			printf "      {\n"
+			printf "        \"scenario\": \"%s\",\n", name
+			printf "        \"ns_per_scenario\": %.0f,\n", best[name]
+			printf "        \"ns_per_step\": %.2f,\n", step[name]
+			printf "        \"scenarios_per_second\": %.2f,\n", 1e9 / best[name]
+			printf "        \"allocs_per_scenario\": %s,\n", aop[name]
+			printf "        \"bytes_per_scenario\": %s\n", bop[name]
+			printf "      }%s\n", (i < n ? "," : "")
+		}
+		printf "    ]\n"
+		printf "  }"
+	}')
+
+	emit "$RECORD"
 fi
 
 RAW=$(go test ./internal/netsim -run '^$' -bench BenchmarkEngine \
@@ -245,20 +296,4 @@ END {
 	printf "  }"
 }')
 
-if [ -z "$OUT" ]; then
-	printf '%s\n' "$RECORD"
-	exit 0
-fi
-
-if [ ! -s "$OUT" ]; then
-	printf '[\n%s\n]\n' "$RECORD" >"$OUT"
-else
-	# Append to the existing JSON array: drop the closing bracket line,
-	# join with a comma, re-terminate.
-	tmp=$(mktemp)
-	sed '$d' "$OUT" >"$tmp"
-	{ cat "$tmp"; printf ',\n%s\n]\n' "$RECORD"; } >"$OUT.new"
-	mv "$OUT.new" "$OUT"
-	rm -f "$tmp"
-fi
-echo "appended $LABEL record to $OUT" >&2
+emit "$RECORD"
